@@ -9,6 +9,7 @@
 package libra
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -312,10 +313,14 @@ func BenchmarkPolicyEntry(b *testing.B) {
 	s := suite(b)
 	clf, _ := s.Classifier()
 	entries := s.TestEntries()
-	p := sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
+	opt := sim.Options{Params: sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second},
+		Policy: sim.LiBRA, Classifier: clf}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunEntry(entries[i%len(entries)], p, sim.LiBRA, clf)
+		if _, err := sim.Run(ctx, sim.Scenario{Entry: entries[i%len(entries)]}, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -351,10 +356,15 @@ func BenchmarkAblationMissingACK(b *testing.B) {
 	p := sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
 	run := func(b *testing.B, pol sim.Policy) {
 		var bytes float64
+		opt := sim.Options{Params: p, Policy: pol, Classifier: clf}
 		for i := 0; i < b.N; i++ {
 			bytes = 0
 			for _, e := range entries {
-				bytes += sim.RunEntry(e, p, pol, clf).Bytes
+				res, err := sim.Run(context.Background(), sim.Scenario{Entry: e}, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bytes += res.Outcome.Bytes
 			}
 		}
 		b.ReportMetric(bytes/1e9, "GB")
@@ -433,25 +443,25 @@ func BenchmarkAblationRxInitiated(b *testing.B) {
 	clf, _ := s.Classifier()
 	entries := s.TestEntries()
 	p := sim.Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-	b.Run("tx-initiated", func(b *testing.B) {
+	run := func(b *testing.B, opt sim.Options) {
 		var delay time.Duration
 		for i := 0; i < b.N; i++ {
 			delay = 0
 			for _, e := range entries {
-				delay += sim.RunEntry(e, p, sim.LiBRA, clf).RecoveryDelay
+				res, err := sim.Run(context.Background(), sim.Scenario{Entry: e}, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				delay += res.Outcome.RecoveryDelay
 			}
 		}
 		b.ReportMetric(float64(delay/time.Duration(len(entries)))/1e6, "ms/break")
+	}
+	b.Run("tx-initiated", func(b *testing.B) {
+		run(b, sim.Options{Params: p, Policy: sim.LiBRA, Classifier: clf})
 	})
 	b.Run("rx-initiated", func(b *testing.B) {
-		var delay time.Duration
-		for i := 0; i < b.N; i++ {
-			delay = 0
-			for _, e := range entries {
-				delay += sim.RunEntryRxInitiated(e, p, clf).RecoveryDelay
-			}
-		}
-		b.ReportMetric(float64(delay/time.Duration(len(entries)))/1e6, "ms/break")
+		run(b, sim.Options{Params: p, Variant: sim.VariantRxInitiated, Classifier: clf})
 	})
 }
 

@@ -105,6 +105,13 @@ func main() {
 		return
 	}
 
+	// Reject bad durations before the campaign is built and the classifier
+	// trained; a zero flow passes Validate and is rejected by sim.Run below.
+	p := sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}
+	if err := p.Validate(); err != nil {
+		log.Fatal(err)
+	}
+
 	spec, ok := environments[*envName]
 	if !ok {
 		log.Fatalf("unknown environment %q", *envName)
@@ -178,13 +185,17 @@ func main() {
 	}
 	fmt.Printf("LiBRA's decision: %v\n\n", clf.Classify(entry.FeatureSlice()))
 
-	p := sim.Params{BAOverhead: *baOverhead, FAT: *fat, FlowDur: *flow}
 	fmt.Printf("%-13s %-12s %-14s %-10s %s\n", "policy", "bytes (MB)", "recovery", "final MCS", "mechanisms")
 	for pi, pol := range []sim.Policy{sim.BAFirst, sim.RAFirst, sim.LiBRA, sim.OracleData, sim.OracleDelay} {
 		// One trace stream per policy, keyed by the display-order index so
 		// -trace-out bytes never depend on scheduling.
 		p.Trace = oc.Tracer().Stream("sim/"+pol.String(), uint64(pi))
-		out := sim.RunEntry(entry, p, pol, clf)
+		res, err := sim.Run(context.Background(), sim.Scenario{Entry: entry},
+			sim.Options{Params: p, Policy: pol, Classifier: clf})
+		if err != nil {
+			log.Fatal(err)
+		}
+		out := res.Outcome
 		mech := ""
 		if out.UsedBA {
 			mech += "BA "

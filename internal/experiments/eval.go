@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -35,18 +36,11 @@ func Figure10(s *Suite) (*Figure, error) {
 			panel := Panel{Title: gridCell(ba, fat), XLabel: "Oracle-Data bytes - policy bytes (MB)"}
 			for _, flow := range sim.FlowDurs {
 				p := sim.Params{BAOverhead: ba, FAT: fat, FlowDur: flow}
-				diffs := forEachEntry(entries, func(e *dataset.Entry) map[sim.Policy]float64 {
-					oracle := sim.RunEntry(e, p, sim.OracleData, nil)
-					out := map[sim.Policy]float64{}
-					for _, pol := range sim.Policies {
-						d := (oracle.Bytes - sim.RunEntry(e, p, pol, clf).Bytes) / 1e6
-						if d < 0 {
-							d = 0
-						}
-						out[pol] = d
-					}
-					return out
-				})
+				diffs, err := oracleGaps(entries, sim.Options{Params: p, Classifier: clf}, sim.OracleData,
+					func(oracle, out sim.Outcome) float64 { return max((oracle.Bytes-out.Bytes)/1e6, 0) })
+				if err != nil {
+					return nil, err
+				}
 				for _, pol := range sim.Policies {
 					panel.Series = append(panel.Series,
 						CDFSeries(fmt.Sprintf("%s (%v)", pol, flow), diffs[pol], 64))
@@ -72,18 +66,13 @@ func Figure11(s *Suite) (*Figure, error) {
 		for _, ba := range sim.BAOverheads {
 			p := sim.Params{BAOverhead: ba, FAT: fat, FlowDur: time.Second}
 			panel := Panel{Title: gridCell(ba, fat), XLabel: "policy delay - Oracle-Delay delay (ms)"}
-			diffs := forEachEntry(entries, func(e *dataset.Entry) map[sim.Policy]float64 {
-				oracle := sim.RunEntry(e, p, sim.OracleDelay, nil)
-				out := map[sim.Policy]float64{}
-				for _, pol := range sim.Policies {
-					d := float64(sim.RunEntry(e, p, pol, clf).RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
-					if d < 0 {
-						d = 0
-					}
-					out[pol] = d
-				}
-				return out
-			})
+			diffs, err := oracleGaps(entries, sim.Options{Params: p, Classifier: clf}, sim.OracleDelay,
+				func(oracle, out sim.Outcome) float64 {
+					return max(float64(out.RecoveryDelay-oracle.RecoveryDelay)/float64(time.Millisecond), 0)
+				})
+			if err != nil {
+				return nil, err
+			}
 			for _, pol := range sim.Policies {
 				panel.Series = append(panel.Series, CDFSeries(pol.String(), diffs[pol], 64))
 			}
@@ -93,12 +82,34 @@ func Figure11(s *Suite) (*Figure, error) {
 	return fig, nil
 }
 
-// forEachEntry evaluates fn over the entries on a bounded worker pool and
-// gathers per-policy samples. Classifier inference and entry replay are
-// read-only, so the fan-out is safe; sample order within a policy follows
-// entry order, keeping results deterministic.
-func forEachEntry(entries []*dataset.Entry, fn func(*dataset.Entry) map[sim.Policy]float64) map[sim.Policy][]float64 {
+// oracleGaps replays every entry under the oracle and under each of
+// sim.Policies (opt supplies everything but the policy) and gathers, per
+// policy, gap(oracle outcome, policy outcome). Entries run on a bounded
+// worker pool; classifier inference and entry replay are read-only, so the
+// fan-out is safe, and sample order within a policy follows entry order,
+// keeping results deterministic. If any run fails, the error of the first
+// failing entry in input order is returned.
+func oracleGaps(entries []*dataset.Entry, opt sim.Options, oracle sim.Policy, gap func(oracle, out sim.Outcome) float64) (map[sim.Policy][]float64, error) {
+	gaps := func(e *dataset.Entry) (map[sim.Policy]float64, error) {
+		sc, o := sim.Scenario{Entry: e}, opt
+		o.Policy = oracle
+		ref, err := sim.Run(context.TODO(), sc, o)
+		if err != nil {
+			return nil, err
+		}
+		out := map[sim.Policy]float64{}
+		for _, pol := range sim.Policies {
+			o.Policy = pol
+			res, err := sim.Run(context.TODO(), sc, o)
+			if err != nil {
+				return nil, err
+			}
+			out[pol] = gap(ref.Outcome, res.Outcome)
+		}
+		return out, nil
+	}
 	results := make([]map[sim.Policy]float64, len(entries))
+	errs := make([]error, len(entries))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, e := range entries {
@@ -107,17 +118,20 @@ func forEachEntry(entries []*dataset.Entry, fn func(*dataset.Entry) map[sim.Poli
 		go func(i int, e *dataset.Entry) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = fn(e)
+			results[i], errs[i] = gaps(e)
 		}(i, e)
 	}
 	wg.Wait()
 	diffs := map[sim.Policy][]float64{}
-	for _, r := range results {
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 		for pol, v := range r {
 			diffs[pol] = append(diffs[pol], v)
 		}
 	}
-	return diffs
+	return diffs, nil
 }
 
 // multiGrid is the reduced grid shown for Figs 12-13 (the paper omits the
@@ -147,6 +161,11 @@ func multiResults(s *Suite, timelines int) (map[string]map[string]map[sim.Policy
 	pools := s.Pools()
 	rng := rand.New(rand.NewSource(s.Seed + 51))
 
+	type tlSamples struct {
+		ratio map[sim.Policy]float64
+		dly   map[sim.Policy]float64
+		valid bool
+	}
 	ratios := map[string]map[string]map[sim.Policy][]float64{}
 	delays := map[string]map[string]map[sim.Policy][]float64{}
 	for _, cell := range multiGrid {
@@ -154,14 +173,37 @@ func multiResults(s *Suite, timelines int) (map[string]map[string]map[sim.Policy
 		ratios[key] = map[string]map[sim.Policy][]float64{}
 		delays[key] = map[string]map[sim.Policy][]float64{}
 		p := sim.Params{BAOverhead: cell.ba, FAT: cell.fat}
+		// sample runs every policy over one timeline.
+		sample := func(tl *trace.Timeline) (tlSamples, error) {
+			sc, opt := sim.Scenario{Timeline: tl}, sim.Options{Params: p, Policy: sim.OracleData, Classifier: clf}
+			oracle, err := sim.Run(context.TODO(), sc, opt)
+			if err != nil {
+				return tlSamples{}, err
+			}
+			opt.Policy = sim.OracleDelay
+			od, err := sim.Run(context.TODO(), sc, opt)
+			if err != nil {
+				return tlSamples{}, err
+			}
+			sm := tlSamples{ratio: map[sim.Policy]float64{}, dly: map[sim.Policy]float64{}, valid: oracle.Timeline.Bytes > 0}
+			for _, pol := range sim.Policies {
+				opt.Policy = pol
+				out, err := sim.Run(context.TODO(), sc, opt)
+				if err != nil {
+					return tlSamples{}, err
+				}
+				if sm.valid {
+					sm.ratio[pol] = out.Timeline.Bytes / oracle.Timeline.Bytes
+				}
+				dd := float64(out.Timeline.MeanRecoveryDelay()-od.Timeline.MeanRecoveryDelay()) / float64(time.Millisecond)
+				sm.dly[pol] = max(dd, 0)
+			}
+			return sm, nil
+		}
 		for _, kind := range trace.Kinds {
 			tls := pools.RandomTimelines(kind, timelines, rng)
-			type tlSamples struct {
-				ratio map[sim.Policy]float64
-				dly   map[sim.Policy]float64
-				valid bool
-			}
 			samples := make([]tlSamples, len(tls))
+			errs := make([]error, len(tls))
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 			for i, tl := range tls {
@@ -170,27 +212,16 @@ func multiResults(s *Suite, timelines int) (map[string]map[string]map[sim.Policy
 				go func(i int, tl *trace.Timeline) {
 					defer wg.Done()
 					defer func() { <-sem }()
-					oracle := sim.RunTimeline(tl, p, sim.OracleData, nil)
-					od := sim.RunTimeline(tl, p, sim.OracleDelay, nil)
-					sm := tlSamples{ratio: map[sim.Policy]float64{}, dly: map[sim.Policy]float64{}, valid: oracle.Bytes > 0}
-					for _, pol := range sim.Policies {
-						out := sim.RunTimeline(tl, p, pol, clf)
-						if oracle.Bytes > 0 {
-							sm.ratio[pol] = out.Bytes / oracle.Bytes
-						}
-						dd := float64(out.MeanRecoveryDelay()-od.MeanRecoveryDelay()) / float64(time.Millisecond)
-						if dd < 0 {
-							dd = 0
-						}
-						sm.dly[pol] = dd
-					}
-					samples[i] = sm
+					samples[i], errs[i] = sample(tl)
 				}(i, tl)
 			}
 			wg.Wait()
 			r := map[sim.Policy][]float64{}
 			d := map[sim.Policy][]float64{}
-			for _, sm := range samples {
+			for i, sm := range samples {
+				if errs[i] != nil {
+					return nil, nil, errs[i]
+				}
 				for _, pol := range sim.Policies {
 					if sm.valid {
 						r[pol] = append(r[pol], sm.ratio[pol])
@@ -301,8 +332,12 @@ func Table4(s *Suite, timelines int) (*Table, error) {
 		for _, pol := range cols {
 			var stallMs, stalls float64
 			for _, tl := range tls {
-				out := sim.RunTimeline(tl, p, pol, clf)
-				res := vr.Play(ft, vr.Scale(out.Rate, vr.COTSScale), 100*time.Millisecond)
+				out, err := sim.Run(context.TODO(), sim.Scenario{Timeline: tl},
+					sim.Options{Params: p, Policy: pol, Classifier: clf})
+				if err != nil {
+					return nil, err
+				}
+				res := vr.Play(ft, vr.Scale(out.Timeline.Rate, vr.COTSScale), 100*time.Millisecond)
 				stallMs += float64(res.AvgStall()) / float64(time.Millisecond)
 				stalls += float64(res.Stalls)
 			}

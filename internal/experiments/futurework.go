@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -46,7 +47,12 @@ func FutureWork(s *Suite, timelines int) (*Table, error) {
 		counted := 0
 		for i := 0; i < timelines; i++ {
 			tl := pools.RandomTimeline(kind, rng)
-			res := sim.RunTimeline(tl, p, sim.LiBRA, clf)
+			run, err := sim.Run(context.TODO(), sim.Scenario{Timeline: tl},
+				sim.Options{Params: p, Policy: sim.LiBRA, Classifier: clf})
+			if err != nil {
+				return nil, err
+			}
+			res := run.Timeline
 			breaks += res.Breaks
 			if len(res.Actions) < 4 {
 				continue

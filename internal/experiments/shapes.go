@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -183,14 +184,11 @@ func ShapeChecks() []ShapeCheck {
 				sums := map[sim.Policy]float64{}
 				for _, ba := range sim.BAOverheads {
 					p := sim.Params{BAOverhead: ba, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-					diffs := forEachEntry(s.TestEntries(), func(e *dataset.Entry) map[sim.Policy]float64 {
-						oracle := sim.RunEntry(e, p, sim.OracleData, nil)
-						out := map[sim.Policy]float64{}
-						for _, pol := range sim.Policies {
-							out[pol] = (oracle.Bytes - sim.RunEntry(e, p, pol, clf).Bytes) / 1e6
-						}
-						return out
-					})
+					diffs, err := oracleGaps(s.TestEntries(), sim.Options{Params: p, Classifier: clf}, sim.OracleData,
+						func(oracle, out sim.Outcome) float64 { return (oracle.Bytes - out.Bytes) / 1e6 })
+					if err != nil {
+						return false, "", err
+					}
 					for pol, v := range diffs {
 						sums[pol] += dsp.Mean(v)
 					}
@@ -208,24 +206,29 @@ func ShapeChecks() []ShapeCheck {
 				if err != nil {
 					return false, "", err
 				}
-				q90 := func(ba time.Duration) map[sim.Policy]float64 {
+				q90 := func(ba time.Duration) (map[sim.Policy]float64, error) {
 					p := sim.Params{BAOverhead: ba, FAT: 2 * time.Millisecond, FlowDur: time.Second}
-					diffs := forEachEntry(s.TestEntries(), func(e *dataset.Entry) map[sim.Policy]float64 {
-						oracle := sim.RunEntry(e, p, sim.OracleDelay, nil)
-						out := map[sim.Policy]float64{}
-						for _, pol := range sim.Policies {
-							out[pol] = float64(sim.RunEntry(e, p, pol, clf).RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
-						}
-						return out
-					})
+					diffs, err := oracleGaps(s.TestEntries(), sim.Options{Params: p, Classifier: clf}, sim.OracleDelay,
+						func(oracle, out sim.Outcome) float64 {
+							return float64(out.RecoveryDelay-oracle.RecoveryDelay) / float64(time.Millisecond)
+						})
+					if err != nil {
+						return nil, err
+					}
 					q := map[sim.Policy]float64{}
 					for pol, v := range diffs {
 						q[pol] = dsp.Quantile(v, 0.9)
 					}
-					return q
+					return q, nil
 				}
-				low := q90(500 * time.Microsecond)
-				high := q90(250 * time.Millisecond)
+				low, err := q90(500 * time.Microsecond)
+				if err != nil {
+					return false, "", err
+				}
+				high, err := q90(250 * time.Millisecond)
+				if err != nil {
+					return false, "", err
+				}
 				ok := low[sim.RAFirst] > low[sim.BAFirst] && high[sim.BAFirst] > high[sim.RAFirst]
 				return ok, fmt.Sprintf("p90 ms low: RA %.1f BA %.1f | high: RA %.1f BA %.1f",
 					low[sim.RAFirst], low[sim.BAFirst], high[sim.RAFirst], high[sim.BAFirst]), nil
@@ -245,9 +248,18 @@ func ShapeChecks() []ShapeCheck {
 				sums := map[sim.Policy]float64{}
 				tls := pools.RandomTimelines(trace.Motion, 15, rng)
 				for _, tl := range tls {
-					oracle := sim.RunTimeline(tl, p, sim.OracleData, nil)
+					sc, opt := sim.Scenario{Timeline: tl}, sim.Options{Params: p, Policy: sim.OracleData, Classifier: clf}
+					oracle, err := sim.Run(context.TODO(), sc, opt)
+					if err != nil {
+						return false, "", err
+					}
 					for _, pol := range sim.Policies {
-						sums[pol] += sim.RunTimeline(tl, p, pol, clf).Bytes / oracle.Bytes
+						opt.Policy = pol
+						res, err := sim.Run(context.TODO(), sc, opt)
+						if err != nil {
+							return false, "", err
+						}
+						sums[pol] += res.Timeline.Bytes / oracle.Timeline.Bytes
 					}
 				}
 				ok := sums[sim.RAFirst] < sums[sim.BAFirst] && sums[sim.RAFirst] < sums[sim.LiBRA]
@@ -270,8 +282,12 @@ func ShapeChecks() []ShapeCheck {
 				tls := pools.RandomTimelines(trace.Mixed, 15, rng)
 				for _, tl := range tls {
 					for _, pol := range sim.Policies {
-						res := sim.RunTimeline(tl, p, pol, clf)
-						sums[pol] += res.MeanRecoveryDelay()
+						res, err := sim.Run(context.TODO(), sim.Scenario{Timeline: tl},
+							sim.Options{Params: p, Policy: pol, Classifier: clf})
+						if err != nil {
+							return false, "", err
+						}
+						sums[pol] += res.Timeline.MeanRecoveryDelay()
 					}
 				}
 				ok := sums[sim.RAFirst] <= sums[sim.LiBRA] && sums[sim.LiBRA] <= sums[sim.BAFirst]

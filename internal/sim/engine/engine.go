@@ -59,9 +59,7 @@ type stationState struct {
 	// debt is overhead airtime (handoff) charged at the start of the next
 	// segment, so simulated time never outruns the event clock.
 	debt time.Duration
-	// segIdx indexes Timelines[s].Segments in replay mode.
-	segIdx int
-	rng    *splitMix64
+	rng  *splitMix64
 }
 
 // apState is one AP's runtime: only the serial phases touch it.
@@ -90,7 +88,6 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	sc := en.sc
 	spec := sc.spec
 	S, A := spec.Stations, spec.APs
-	replay := spec.Timelines != nil
 
 	obsEngineRuns.Inc()
 	tracer := obs.ActiveTracer()
@@ -116,7 +113,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 		aps[st.ap].members++
 		fmt.Fprintf(h, "init s=%d ap=%d\n", s, st.ap)
 		eh.push(event{at: 0, entity: s, kind: evSegment})
-		if !replay && spec.ImpairMeanGap > 0 {
+		if spec.ImpairMeanGap > 0 {
 			pushImpairCycle(eh, st, s, 0, spec)
 		}
 	}
@@ -200,7 +197,7 @@ func (en *Engine) Run(ctx context.Context) (*Result, error) {
 	for s, st := range stations {
 		tl := st.ls.Result()
 		tx, rx := st.ls.Beams()
-		onBest := !replay && tx == sc.bestTx[s][st.ap] && rx == sc.bestRx[s][st.ap]
+		onBest := tx == sc.bestTx[s][st.ap] && rx == sc.bestRx[s][st.ap]
 		res.Stations[s] = StationResult{
 			Station: s, AP: st.ap, Handoffs: st.handoffs,
 			FinalMCS: st.ls.MCS(), FinalOnBestBeam: onBest, Timeline: tl,
@@ -257,12 +254,6 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	spec := sc.spec
 	s := e.entity
 	st := stations[s]
-
-	if spec.Timelines != nil {
-		en.handleReplaySegment(st, e, out)
-		return
-	}
-
 	a := st.ap
 	sched := aps[a].sched
 	st.ls.SetShare(sched.Share())
@@ -328,24 +319,6 @@ func (en *Engine) handleSegment(stations []*stationState, aps []*apState, e even
 	}
 	if next := e.at + spec.Interval; next < duration {
 		out.pushes = append(out.pushes, event{at: next, entity: s, kind: evSegment})
-	}
-}
-
-// handleReplaySegment advances one timeline segment (replay mode): the exact
-// call sequence of the legacy RunTimeline loop, so the result is
-// bit-identical to it.
-func (en *Engine) handleReplaySegment(st *stationState, e event, out *segOut) {
-	tl := en.sc.spec.Timelines[e.entity]
-	if st.segIdx >= len(tl.Segments) {
-		return
-	}
-	seg := tl.Segments[st.segIdx]
-	st.segIdx++
-	st.ls.Segment(seg.Snap, seg.Dur)
-	out.digest = appendLine(out.digest, "seg", e.at, e.entity,
-		"mcs="+strconv.Itoa(int(st.ls.MCS()))+" bytes="+fm(st.ls.Result().Bytes))
-	if st.segIdx < len(tl.Segments) {
-		out.pushes = append(out.pushes, event{at: e.at + seg.Dur, entity: e.entity, kind: evSegment})
 	}
 }
 

@@ -10,6 +10,14 @@ import (
 	"github.com/libra-wlan/libra/internal/sim"
 )
 
+func stdParams() sim.Params {
+	return sim.Params{
+		BAOverhead: 5 * time.Millisecond,
+		FAT:        2 * time.Millisecond,
+		FlowDur:    time.Second,
+	}
+}
+
 func smallSpec() Spec {
 	return Spec{
 		APs: 2, Stations: 8,

@@ -18,7 +18,8 @@ type StationResult struct {
 	FinalMCS        phy.MCS
 	FinalOnBestBeam bool
 	// Timeline is the full per-station accounting (bytes, breaks, rate
-	// profile, recovery delays) in the same shape as a RunTimeline result.
+	// profile, recovery delays) in the same shape as the Timeline of a
+	// sim.Run result.
 	Timeline sim.TimelineResult
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/channel"
@@ -65,24 +64,9 @@ func FailoverPair(snap *channel.Snapshot, primaryTx, primaryRx int) (tx, rx int,
 	return tx, rx, snr
 }
 
-// RunEntryFailover replays one break under the failover policy. The entry's
-// FailoverTh table must be populated (BuildFailoverTable does this for
-// snapshot-backed scenarios); when it is zero the failover is treated as
-// dead and the policy degenerates to RA-then-BA.
-//
-// Deprecated: use Run with Options{Variant: VariantFailover, Failover:
-// failover}; this wrapper remains for source compatibility and panics on
-// parameters Run would reject.
-func RunEntryFailover(e *dataset.Entry, failover *[phy.NumMCS]float64, p Params) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Variant: VariantFailover, Failover: failover})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// runEntryFailover is the failover-variant core behind Run.
+// runEntryFailover replays one break under the failover policy
+// (VariantFailover). When the failover table is zero the failover is treated
+// as dead and the policy degenerates to RA-then-BA.
 func runEntryFailover(e *dataset.Entry, failover *[phy.NumMCS]float64, p Params) Outcome {
 	var (
 		elapsed time.Duration
@@ -131,19 +115,4 @@ func runEntryFailover(e *dataset.Entry, failover *[phy.NumMCS]float64, p Params)
 	}
 	out.Bytes = bytes
 	return out
-}
-
-// FailoverStudy compares the failover policy against LiBRA over entries for
-// which failover tables are supplied, returning mean recovery delays.
-func FailoverStudy(entries []*dataset.Entry, tables []*[phy.NumMCS]float64, p Params, clf core.Classifier) (failoverMean, libraMean time.Duration) {
-	if len(entries) == 0 || len(entries) != len(tables) {
-		return 0, 0
-	}
-	var f, l time.Duration
-	for i, e := range entries {
-		f += RunEntryFailover(e, tables[i], p).RecoveryDelay
-		l += RunEntry(e, p, LiBRA, clf).RecoveryDelay
-	}
-	n := time.Duration(len(entries))
-	return f / n, l / n
 }

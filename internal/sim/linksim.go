@@ -10,14 +10,14 @@ import (
 	"github.com/libra-wlan/libra/internal/phy"
 )
 
-// LinkSim is the step-wise single-link simulator extracted from the original
-// RunTimeline loop: one Tx/Rx link advancing segment by segment under an
-// adaptation policy. The multi-AP discrete-event engine drives one LinkSim
-// per station, interleaving segments of many links in simulation-time order;
-// RunTimelineContext drives one to completion. Both paths execute the exact
-// same arithmetic: with the default airtime share (1) and SNR offset (0) the
-// adjustment hooks below are guarded no-ops, so a LinkSim-driven run is
-// bit-identical to the historic single-link loop.
+// LinkSim is the step-wise single-link simulator and the only timeline
+// stepper: one Tx/Rx link advancing segment by segment under an adaptation
+// policy. Run drives one to completion over a timeline scenario; the
+// multi-AP discrete-event engine drives one per station, interleaving
+// segments of many links in simulation-time order. With the default airtime
+// share (1) and SNR offset (0) the adjustment hooks below are guarded no-ops,
+// so a single-link run pays nothing for the engine's contention and
+// interference model.
 //
 // A LinkSim is single-goroutine state; the engine guarantees each station is
 // handled by at most one worker per event barrier.
@@ -59,17 +59,11 @@ func (ls *LinkSim) SetShare(f float64) { ls.share = f }
 // LiBRA's feature diffs observe it like a real channel change.
 func (ls *LinkSim) SetSNROffsetDB(db float64) { ls.offs = db }
 
-// SNROffsetDB returns the current offset.
-func (ls *LinkSim) SNROffsetDB() float64 { return ls.offs }
-
 // MCS returns the link's current modulation and coding scheme.
 func (ls *LinkSim) MCS() phy.MCS { return ls.st.mcs }
 
 // Beams returns the current Tx/Rx beam pair.
 func (ls *LinkSim) Beams() (txBeam, rxBeam int) { return ls.st.txBeam, ls.st.rxBeam }
-
-// Elapsed returns the simulated time consumed so far.
-func (ls *LinkSim) Elapsed() time.Duration { return ls.elapsed }
 
 // Result returns the accumulated multi-segment result.
 func (ls *LinkSim) Result() TimelineResult { return ls.res }

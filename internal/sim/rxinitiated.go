@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/core"
@@ -25,23 +24,10 @@ import (
 // control PHY, plus a SIFS each way.
 const RxSignalOverhead = 120 * time.Microsecond
 
-// RunEntryRxInitiated replays one break under Rx-initiated LiBRA: the
-// classifier always runs (the Rx measures the broken channel directly), and
-// every adaptation is preceded by the Rx->Tx signaling exchange.
-//
-// Deprecated: use Run with Options{Variant: VariantRxInitiated}; this
-// wrapper remains for source compatibility and panics on parameters Run
-// would reject.
-func RunEntryRxInitiated(e *dataset.Entry, p Params, clf core.Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Variant: VariantRxInitiated, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// runEntryRxInitiated is the Rx-initiated core behind Run.
+// runEntryRxInitiated replays one break under Rx-initiated LiBRA
+// (VariantRxInitiated): the classifier always runs (the Rx measures the
+// broken channel directly), and every adaptation is preceded by the Rx->Tx
+// signaling exchange.
 func runEntryRxInitiated(e *dataset.Entry, p Params, clf core.Classifier) Outcome {
 	action := clf.Classify(e.FeatureSlice())
 	if action == dataset.ActNA {

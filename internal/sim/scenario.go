@@ -10,10 +10,9 @@ import (
 	"github.com/libra-wlan/libra/internal/trace"
 )
 
-// This file is the unified scenario API: one context-first entry point that
-// subsumes the historic RunEntry / RunEntryFailover / RunEntryRxInitiated
-// trio and the RunTimeline / RunTimelineContext pair. The old names remain
-// as thin deprecated wrappers with parity pinned by tests.
+// This file is the scenario API: Run is the one entry point for every
+// single-link evaluation — a dataset entry's break under any policy or
+// design variant, or a multi-segment impairment timeline.
 
 // Variant selects a protocol-design ablation of the standard Tx-initiated
 // LiBRA evaluation (§7-§8).
@@ -44,7 +43,7 @@ func (v Variant) String() string {
 	return "unknown"
 }
 
-// Scenario is the input of one policy run: exactly one of the fields is set.
+// Scenario is the input of Run: exactly one of the fields is set.
 type Scenario struct {
 	// Entry replays a single link break from a dataset sample (§8.2).
 	Entry *dataset.Entry

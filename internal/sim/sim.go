@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"context"
 	"time"
 
 	"github.com/libra-wlan/libra/internal/core"
@@ -310,21 +309,7 @@ func settle(bytes *float64, elapsed *time.Duration, flow time.Duration, thBps fl
 // (2 frames, §7) triggers the missing-ACK rule.
 func naPenalty(p Params) time.Duration { return 2 * p.FAT }
 
-// RunEntry simulates one policy over one dataset entry's link break. clf is
-// only consulted by the LiBRA policy; pass nil for the others.
-//
-// Deprecated: use Run with Scenario{Entry: e}; this wrapper remains for
-// source compatibility and panics on parameters Run would reject.
-func RunEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		Options{Params: p, Policy: pol, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// runEntry is the single-break core behind Run and the deprecated RunEntry.
+// runEntry is the single-break core behind Run.
 func runEntry(e *dataset.Entry, p Params, pol Policy, clf core.Classifier) Outcome {
 	if c, ok := obsPolicyRuns[pol]; ok {
 		c.Inc()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -18,6 +19,16 @@ func tableOf(pairs map[phy.MCS]float64) thTable {
 		t[m] = v
 	}
 	return t
+}
+
+// mustRun runs one scenario and fails the test on error.
+func mustRun(t *testing.T, sc Scenario, opt Options) Result {
+	t.Helper()
+	res, err := Run(context.Background(), sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func stdParams() Params {
@@ -184,9 +195,9 @@ func TestBytesCappedByFlowDuration(t *testing.T) {
 func TestOracleDataDominates(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	oracle := RunEntry(e, p, OracleData, nil)
-	ba := RunEntry(e, p, BAFirst, nil)
-	ra := RunEntry(e, p, RAFirst, nil)
+	oracle := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: OracleData}).Outcome
+	ba := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: BAFirst}).Outcome
+	ra := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: RAFirst}).Outcome
 	if oracle.Bytes < ba.Bytes || oracle.Bytes < ra.Bytes {
 		t.Errorf("oracle %v below policies %v/%v", oracle.Bytes, ba.Bytes, ra.Bytes)
 	}
@@ -195,9 +206,9 @@ func TestOracleDataDominates(t *testing.T) {
 func TestOracleDelayDominates(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	oracle := RunEntry(e, p, OracleDelay, nil)
-	ba := RunEntry(e, p, BAFirst, nil)
-	ra := RunEntry(e, p, RAFirst, nil)
+	oracle := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: OracleDelay}).Outcome
+	ba := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: BAFirst}).Outcome
+	ra := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: RAFirst}).Outcome
 	if oracle.RecoveryDelay > ba.RecoveryDelay || oracle.RecoveryDelay > ra.RecoveryDelay {
 		t.Errorf("oracle delay %v above policies %v/%v", oracle.RecoveryDelay, ba.RecoveryDelay, ra.RecoveryDelay)
 	}
@@ -212,13 +223,13 @@ func (f fixedClassifier) Name() string                      { return "fixed" }
 func TestLiBRAFollowsClassifier(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	asBA := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActBA})
-	wantBA := RunEntry(e, p, BAFirst, nil)
+	asBA := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActBA}}).Outcome
+	wantBA := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: BAFirst}).Outcome
 	if asBA.Bytes != wantBA.Bytes || asBA.RecoveryDelay != wantBA.RecoveryDelay {
 		t.Error("LiBRA(BA) differs from BA First")
 	}
-	asRA := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActRA})
-	wantRA := RunEntry(e, p, RAFirst, nil)
+	asRA := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActRA}}).Outcome
+	wantRA := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: RAFirst}).Outcome
 	if asRA.Bytes != wantRA.Bytes {
 		t.Error("LiBRA(RA) differs from RA First")
 	}
@@ -227,8 +238,8 @@ func TestLiBRAFollowsClassifier(t *testing.T) {
 func TestLiBRANAPenalty(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	na := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActNA})
-	direct := RunEntry(e, p, LiBRA, fixedClassifier{core.MissingACKAction(e.InitMCS, p.Config())})
+	na := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActNA}}).Outcome
+	direct := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{core.MissingACKAction(e.InitMCS, p.Config())}}).Outcome
 	if na.RecoveryDelay <= direct.RecoveryDelay {
 		t.Error("NA misprediction should cost recovery delay")
 	}
@@ -241,8 +252,8 @@ func TestLiBRAMissingACKPath(t *testing.T) {
 	e.InitBeamTh[2] = 1e9
 	p := stdParams()
 	p.BAOverhead = 500 * time.Microsecond // cheap BA: missing-ACK rule says BA
-	got := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActRA})
-	want := RunEntry(e, p, BAFirst, nil)
+	got := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActRA}}).Outcome
+	want := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: BAFirst}).Outcome
 	if got.Bytes != want.Bytes {
 		t.Error("missing-ACK rule not applied (classifier should be bypassed)")
 	}
@@ -301,13 +312,16 @@ func TestGridMatchesStandardOverheadModels(t *testing.T) {
 func TestRxInitiatedCostsSignaling(t *testing.T) {
 	e := handEntry()
 	p := stdParams()
-	tx := RunEntry(e, p, LiBRA, fixedClassifier{dataset.ActBA})
-	rx := RunEntryRxInitiated(e, p, fixedClassifier{dataset.ActBA})
-	if rx.RecoveryDelay != tx.RecoveryDelay+RxSignalOverhead {
-		t.Errorf("rx delay %v, tx delay %v: signaling not charged", rx.RecoveryDelay, tx.RecoveryDelay)
-	}
-	if rx.Bytes >= tx.Bytes {
-		t.Error("signaling airtime should cost bytes")
+	for _, act := range []dataset.Action{dataset.ActBA, dataset.ActRA, dataset.ActNA} {
+		clf := fixedClassifier{act}
+		tx := mustRun(t, Scenario{Entry: e}, Options{Params: p, Policy: LiBRA, Classifier: clf}).Outcome
+		rx := mustRun(t, Scenario{Entry: e}, Options{Params: p, Variant: VariantRxInitiated, Classifier: clf}).Outcome
+		if rx.RecoveryDelay != tx.RecoveryDelay+RxSignalOverhead {
+			t.Errorf("%v: rx delay %v, tx delay %v: signaling not charged", act, rx.RecoveryDelay, tx.RecoveryDelay)
+		}
+		if act != dataset.ActNA && rx.Bytes >= tx.Bytes {
+			t.Errorf("%v: signaling airtime should cost bytes", act)
+		}
 	}
 }
 
@@ -322,7 +336,7 @@ func TestRxInitiatedSkipsMissingACKRule(t *testing.T) {
 	p.BAOverhead = 250 * time.Millisecond
 	// Tx-initiated with a missing ACK and high MCS + costly BA: RA rule.
 	// Rx-initiated obeys the classifier saying BA.
-	rx := RunEntryRxInitiated(e, p, fixedClassifier{dataset.ActBA})
+	rx := mustRun(t, Scenario{Entry: e}, Options{Params: p, Variant: VariantRxInitiated, Classifier: fixedClassifier{dataset.ActBA}}).Outcome
 	if !rx.UsedBA {
 		t.Error("Rx-initiated ignored the classifier")
 	}

@@ -66,34 +66,9 @@ func tableAt(snap *channel.Snapshot, txBeam, rxBeam int, offsDB float64) thTable
 	return t
 }
 
-// RunTimeline simulates one policy over a multi-impairment timeline. clf is
-// consulted only by the LiBRA policy.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}; this wrapper remains for
-// source compatibility and panics on parameters Run would reject.
-func RunTimeline(tl *trace.Timeline, p Params, pol Policy, clf core.Classifier) TimelineResult {
-	res, err := Run(context.Background(), Scenario{Timeline: tl},
-		Options{Params: p, Policy: pol, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Timeline
-}
-
-// RunTimelineContext is RunTimeline with cooperative cancellation at segment
-// boundaries: a canceled ctx abandons the remaining segments and returns
-// ctx's error with a zero result. A run that completes is unaffected by ctx
-// — the result depends only on the timeline, parameters and classifier.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}.
-func RunTimelineContext(ctx context.Context, tl *trace.Timeline, p Params, pol Policy, clf core.Classifier) (TimelineResult, error) {
-	res, err := Run(ctx, Scenario{Timeline: tl},
-		Options{Params: p, Policy: pol, Classifier: clf})
-	return res.Timeline, err
-}
-
 // runTimeline drives a LinkSim over the timeline's segments, checking ctx at
-// each segment boundary.
+// each segment boundary: a canceled ctx abandons the remaining segments and
+// returns ctx's error with a zero result.
 func runTimeline(ctx context.Context, tl *trace.Timeline, p Params, pol Policy, clf core.Classifier) (TimelineResult, error) {
 	if len(tl.Segments) == 0 {
 		return TimelineResult{}, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func TestTimelineBytesMatchRateProfile(t *testing.T) {
 	pools := testPools(t)
 	rng := rand.New(rand.NewSource(1))
 	tl := pools.RandomTimeline(trace.Mixed, rng)
-	res := RunTimeline(tl, stdParams(), BAFirst, nil)
+	res := mustRun(t, Scenario{Timeline: tl}, Options{Params: stdParams(), Policy: BAFirst}).Timeline
 	var bytes float64
 	var dur time.Duration
 	for _, iv := range res.Rate {
@@ -45,7 +46,7 @@ func TestTimelineBreaksCounted(t *testing.T) {
 	pools := testPools(t)
 	rng := rand.New(rand.NewSource(2))
 	tl := pools.RandomTimeline(trace.Blockage, rng)
-	res := RunTimeline(tl, stdParams(), BAFirst, nil)
+	res := mustRun(t, Scenario{Timeline: tl}, Options{Params: stdParams(), Policy: BAFirst}).Timeline
 	// Alternating clear/blocked segments must break the link repeatedly.
 	if res.Breaks < 2 {
 		t.Errorf("breaks = %d on a blockage timeline", res.Breaks)
@@ -65,8 +66,8 @@ func TestTimelinePoliciesDiffer(t *testing.T) {
 	var baDelay, raDelay time.Duration
 	for i := 0; i < 10; i++ {
 		tl := pools.RandomTimeline(trace.Blockage, rng)
-		baDelay += RunTimeline(tl, p, BAFirst, nil).TotalRecoveryDelay
-		raDelay += RunTimeline(tl, p, RAFirst, nil).TotalRecoveryDelay
+		baDelay += mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: BAFirst}).Timeline.TotalRecoveryDelay
+		raDelay += mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: RAFirst}).Timeline.TotalRecoveryDelay
 	}
 	// With 250 ms sweeps, BA First must pay far more recovery delay than
 	// RA First when RA alone can restore the link... but under full
@@ -82,9 +83,9 @@ func TestTimelineOracleChoosesBetter(t *testing.T) {
 	p := stdParams()
 	for i := 0; i < 5; i++ {
 		tl := pools.RandomTimeline(trace.Interference, rng)
-		oracle := RunTimeline(tl, p, OracleData, nil)
-		ba := RunTimeline(tl, p, BAFirst, nil)
-		ra := RunTimeline(tl, p, RAFirst, nil)
+		oracle := mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: OracleData}).Timeline
+		ba := mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: BAFirst}).Timeline
+		ra := mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: RAFirst}).Timeline
 		best := math.Max(ba.Bytes, ra.Bytes)
 		// The greedy per-break oracle is not globally optimal, but it must
 		// land in the neighborhood of the better fixed policy.
@@ -99,15 +100,15 @@ func TestTimelineLiBRAUsesClassifier(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tl := pools.RandomTimeline(trace.Blockage, rng)
 	p := stdParams()
-	ba := RunTimeline(tl, p, LiBRA, fixedClassifier{dataset.ActBA})
-	want := RunTimeline(tl, p, BAFirst, nil)
+	ba := mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: LiBRA, Classifier: fixedClassifier{dataset.ActBA}}).Timeline
+	want := mustRun(t, Scenario{Timeline: tl}, Options{Params: p, Policy: BAFirst}).Timeline
 	if math.Abs(ba.Bytes-want.Bytes) > 1 {
 		t.Error("LiBRA with a BA-always classifier differs from BA First")
 	}
 }
 
 func TestTimelineEmpty(t *testing.T) {
-	res := RunTimeline(&trace.Timeline{}, stdParams(), BAFirst, nil)
+	res := mustRun(t, Scenario{Timeline: &trace.Timeline{}}, Options{Params: stdParams(), Policy: BAFirst}).Timeline
 	if res.Bytes != 0 || res.Breaks != 0 {
 		t.Error("empty timeline produced output")
 	}
@@ -121,7 +122,7 @@ func TestTimelineNonNegativeRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, kind := range trace.Kinds {
 		tl := pools.RandomTimeline(kind, rng)
-		res := RunTimeline(tl, stdParams(), LiBRA, fixedClassifier{dataset.ActRA})
+		res := mustRun(t, Scenario{Timeline: tl}, Options{Params: stdParams(), Policy: LiBRA, Classifier: fixedClassifier{dataset.ActRA}}).Timeline
 		for _, iv := range res.Rate {
 			if iv.Bps < 0 || iv.Dur < 0 {
 				t.Fatalf("%v: negative rate interval %+v", kind, iv)
@@ -134,7 +135,7 @@ func TestMotionTimelineDeliversData(t *testing.T) {
 	pools := testPools(t)
 	rng := rand.New(rand.NewSource(7))
 	tl := pools.RandomTimeline(trace.Motion, rng)
-	res := RunTimeline(tl, stdParams(), BAFirst, nil)
+	res := mustRun(t, Scenario{Timeline: tl}, Options{Params: stdParams(), Policy: BAFirst}).Timeline
 	// A walking client in the lobby stays connected most of the time.
 	avg := res.Bytes * 8 / tl.Duration().Seconds()
 	if avg < 100e6 {
@@ -144,28 +145,30 @@ func TestMotionTimelineDeliversData(t *testing.T) {
 
 // TestRunTimelineContext covers the segment-boundary cancellation contract:
 // a pre-canceled context returns the context's error and a zero result,
-// while a background context matches the plain entry point exactly.
+// while a live context that is never canceled changes nothing.
 func TestRunTimelineContext(t *testing.T) {
 	pools := testPools(t)
 	rng := rand.New(rand.NewSource(3))
 	tl := pools.RandomTimeline(trace.Mixed, rng)
+	sc, opt := Scenario{Timeline: tl}, Options{Params: stdParams(), Policy: BAFirst}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunTimelineContext(ctx, tl, stdParams(), BAFirst, nil)
+	res, err := Run(ctx, sc, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.Breaks != 0 || res.Bytes != 0 || len(res.Rate) != 0 {
-		t.Fatalf("canceled run returned a partial result: %+v", res)
+	if res.Timeline.Breaks != 0 || res.Timeline.Bytes != 0 || len(res.Timeline.Rate) != 0 {
+		t.Fatalf("canceled run returned a partial result: %+v", res.Timeline)
 	}
 
-	want := RunTimeline(tl, stdParams(), BAFirst, nil)
-	got, err := RunTimelineContext(context.Background(), tl, stdParams(), BAFirst, nil)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := Run(live, sc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Bytes != want.Bytes || got.Breaks != want.Breaks || got.TotalRecoveryDelay != want.TotalRecoveryDelay {
-		t.Errorf("context run %+v differs from plain %+v", got, want)
+	if want := mustRun(t, sc, opt).Timeline; !reflect.DeepEqual(got.Timeline, want) {
+		t.Errorf("live-context run %+v differs from background run %+v", got.Timeline, want)
 	}
 }

@@ -189,11 +189,11 @@ type (
 	Timeline = trace.Timeline
 	// ScenarioPools pre-generates timeline channel states.
 	ScenarioPools = trace.Pools
-	// Scenario is the input of one unified policy run: exactly one of an
-	// entry (single break) or a timeline (multi-impairment) is set.
+	// Scenario is the input of Run: exactly one of an entry (single
+	// break) or a timeline (multi-impairment) is set.
 	Scenario = sim.Scenario
 	// RunOptions carries the parameters, policy, classifier and protocol
-	// variant of a unified policy run.
+	// variant of a Run.
 	RunOptions = sim.Options
 	// RunResult is the output of Run: Outcome for entry scenarios,
 	// Timeline for timeline scenarios.
@@ -210,10 +210,11 @@ const (
 	VariantRxInitiated = sim.VariantRxInitiated
 )
 
-// Run executes one scenario under one set of options — the unified,
-// context-first entry point that subsumes RunEntry, RunTimeline and their
-// variant siblings. New code should call Run; the older names remain as thin
-// wrappers over it and are documented deprecated at their definitions.
+// Run executes one scenario under one set of options: a single link break
+// (Scenario.Entry) under any policy or protocol variant, or a
+// multi-impairment timeline (Scenario.Timeline). It is the only way to run
+// one link; invalid parameters come back as an error, and a canceled ctx
+// stops a timeline at the next segment boundary.
 func Run(ctx context.Context, sc Scenario, opt RunOptions) (RunResult, error) {
 	return sim.Run(ctx, sc, opt)
 }
@@ -226,44 +227,6 @@ const (
 	PolicyOracleData  = sim.OracleData
 	PolicyOracleDelay = sim.OracleDelay
 )
-
-// RunEntry replays one policy over one dataset entry's link break.
-//
-// Deprecated: use Run with Scenario{Entry: e}. This wrapper delegates to Run
-// and panics on parameters Run would reject.
-func RunEntry(e *Entry, p Params, pol Policy, clf Classifier) Outcome {
-	res, err := Run(context.Background(), Scenario{Entry: e},
-		RunOptions{Params: p, Policy: pol, Classifier: clf})
-	if err != nil {
-		panic(err)
-	}
-	return res.Outcome
-}
-
-// RunTimeline replays one policy over a multi-impairment timeline.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}. This wrapper delegates to
-// RunTimelineContext (the non-context/context pair delegates one way only)
-// and panics on parameters Run would reject.
-func RunTimeline(tl *Timeline, p Params, pol Policy, clf Classifier) TimelineResult {
-	res, err := RunTimelineContext(context.Background(), tl, p, pol, clf)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunTimelineContext is RunTimeline with cooperative cancellation at
-// timeline-segment boundaries: a canceled ctx abandons the remaining
-// segments and returns ctx's error. A completed run matches RunTimeline's
-// result exactly.
-//
-// Deprecated: use Run with Scenario{Timeline: tl}.
-func RunTimelineContext(ctx context.Context, tl *Timeline, p Params, pol Policy, clf Classifier) (TimelineResult, error) {
-	res, err := Run(ctx, Scenario{Timeline: tl},
-		RunOptions{Params: p, Policy: pol, Classifier: clf})
-	return res.Timeline, err
-}
 
 // NewScenarioPools builds the §8.3 timeline state pools.
 func NewScenarioPools(seed int64) *ScenarioPools { return trace.NewPools(seed) }
@@ -325,12 +288,6 @@ type (
 
 // NewMarkovPredictor creates an order-k link-pattern predictor.
 func NewMarkovPredictor(order int) *MarkovPredictor { return predict.NewMarkovPredictor(order) }
-
-// RunEntryRxInitiated replays a break under the Rx-initiated LiBRA variant
-// (§7 design-choice ablation).
-//
-// Deprecated: use Run with RunOptions{Variant: VariantRxInitiated}.
-var RunEntryRxInitiated = sim.RunEntryRxInitiated
 
 // Multi-AP discrete-event engine.
 type (

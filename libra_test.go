@@ -1,10 +1,21 @@
 package libra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 )
+
+// mustRun runs one scenario through the facade and fails the test on error.
+func mustRun(t *testing.T, sc Scenario, opt RunOptions) RunResult {
+	t.Helper()
+	res, err := Run(context.Background(), sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestPublicAPIEndToEnd exercises the exported surface exactly as the README
 // quickstart does: build a link, train LiBRA, break the link, decide, and
@@ -39,8 +50,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if entry.Label == ActNA {
 			continue
 		}
-		libra += RunEntry(entry, p, PolicyLiBRA, clf).Bytes
-		oracle += RunEntry(entry, p, PolicyOracleData, nil).Bytes
+		libra += mustRun(t, Scenario{Entry: entry}, RunOptions{Params: p, Policy: PolicyLiBRA, Classifier: clf}).Outcome.Bytes
+		oracle += mustRun(t, Scenario{Entry: entry}, RunOptions{Params: p, Policy: PolicyOracleData}).Outcome.Bytes
 	}
 	if libra <= 0 || oracle < libra {
 		t.Fatalf("bytes: libra=%v oracle=%v", libra, oracle)
@@ -61,7 +72,7 @@ func TestPublicTimelineAndVR(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tl := pools.RandomTimeline(0 /* Motion */, rng)
 	p := Params{BAOverhead: 5 * time.Millisecond, FAT: 2 * time.Millisecond}
-	res := RunTimeline(tl, p, PolicyLiBRA, clf)
+	res := mustRun(t, Scenario{Timeline: tl}, RunOptions{Params: p, Policy: PolicyLiBRA, Classifier: clf}).Timeline
 	if res.Bytes <= 0 {
 		t.Fatal("timeline delivered nothing")
 	}
