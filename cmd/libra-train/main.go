@@ -51,7 +51,6 @@ func main() {
 	reps := flag.Int("reps", 10, "cross-validation repetitions (paper: 500)")
 	data := flag.String("data", "", "load the main (training) campaign from a libra-ds v1 (.lds) file instead of generating it")
 	out := flag.String("o", "", "write the trained 3-class model (libra-model format) to this file")
-	save := flag.String("save", "", "alias for -o (kept for compatibility)")
 	fitOnly := flag.Bool("fit-only", false, "skip the CV study; only train and write/verify the model (needs -o or -verify-quant)")
 	verifyQuant := flag.Bool("verify-quant", false, "quantize the trained forest and report class parity vs the float64 arrays on the test campaign")
 	trees := flag.Int("trees", 80, "forest size of the saved model")
@@ -60,9 +59,6 @@ func main() {
 	profileBins := flag.Int("profile-bins", 10, "equal-frequency bins per feature in the drift profile")
 	oc := obs.RegisterCLI(flag.CommandLine)
 	flag.Parse()
-	if *out == "" {
-		*out = *save
-	}
 	if *fitOnly && *out == "" && !*verifyQuant && *profileOut == "" {
 		log.Fatal("-fit-only needs -o FILE (or -verify-quant or -profile-out) to have something to do")
 	}

@@ -73,9 +73,6 @@ func (l *Link) SnapshotInterfered(in []Interferer) *Snapshot {
 	return s
 }
 
-// NumPaths returns the number of traced propagation paths.
-func (s *Snapshot) NumPaths() int { return len(s.paths) }
-
 // Measure evaluates the PHY observation for a beam pair from the frozen
 // state, identically to Link.Measure (minus stochastic measurement noise,
 // which the MAC layer adds).

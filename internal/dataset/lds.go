@@ -390,6 +390,11 @@ func ReadLDS(data []byte) (*Campaign, error) {
 	if rowCount > uint64(len(data))/ldsRowBytes {
 		return nil, r.corrupt("row count %d impossible for %d-byte file", rowCount, len(data))
 	}
+	// Every chunk costs a 16-byte frame header plus its footer SHA-256, so
+	// bound the count by the bytes left before allocating for it.
+	if uint64(chunkCount) > uint64(len(data)-r.off)/(16+sha256.Size) {
+		return nil, r.corrupt("chunk count %d impossible for %d-byte file", chunkCount, len(data))
+	}
 
 	type chunkRef struct {
 		payload []byte

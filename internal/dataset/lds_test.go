@@ -148,6 +148,18 @@ func TestLDSRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestLDSRejectsHugeChunkCount is a bare 24-byte header claiming 2^32-1
+// chunks: the reader must refuse the count before allocating for it.
+func TestLDSRejectsHugeChunkCount(t *testing.T) {
+	hdr := append([]byte("LDS1"), 1, 0, 0, 0) // version 1
+	hdr = append(hdr, 0, 16, 0, 0)            // chunkRows 4096
+	hdr = append(hdr, 0xFF, 0xFF, 0xFF, 0xFF)
+	hdr = append(hdr, 0, 0, 0, 0, 0, 0, 0, 0) // rowCount 0
+	if _, err := ReadLDS(hdr); !errors.Is(err, ErrLDSCorrupt) {
+		t.Fatalf("got %v, want ErrLDSCorrupt", err)
+	}
+}
+
 // TestLDSEmptyCampaign round-trips a campaign with no entries.
 func TestLDSEmptyCampaign(t *testing.T) {
 	c := &Campaign{Dataset: Dataset{Name: "empty"}}

@@ -146,9 +146,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return quantileSorted(c.sorted, q)
 }
 
-// Values returns the sorted sample (shared slice; do not modify).
-func (c *CDF) Values() []float64 { return c.sorted }
-
 // Points returns (value, cumulative probability) pairs suitable for plotting
 // the CDF as a step curve, downsampled to at most maxPoints points.
 func (c *CDF) Points(maxPoints int) (values, probs []float64) {

@@ -57,23 +57,33 @@ func flatten(n *treeNode, out *[]nodeJSON) int {
 	return idx
 }
 
-// unflatten rebuilds a tree from nodes.
-func unflatten(nodes []nodeJSON, idx int) (*treeNode, error) {
+// unflatten rebuilds the subtree rooted at nodes[idx]. It fails closed on
+// anything a fitted forest cannot contain: a node reached twice (a cycle or
+// a shared subtree), a leaf class outside [0, numClasses) or a split
+// feature outside [0, numFeatures). seen marks the nodes already placed.
+func unflatten(nodes []nodeJSON, idx int, seen []bool, numClasses, numFeatures int) (*treeNode, error) {
 	if idx < 0 || idx >= len(nodes) {
 		return nil, fmt.Errorf("ml: node index %d out of range", idx)
 	}
+	if seen[idx] {
+		return nil, fmt.Errorf("ml: node %d reached twice", idx)
+	}
+	seen[idx] = true
 	n := nodes[idx]
 	if n.Leaf {
+		if n.Class < 0 || n.Class >= numClasses {
+			return nil, fmt.Errorf("ml: node %d: class %d outside [0, %d)", idx, n.Class, numClasses)
+		}
 		return &treeNode{isLeaf: true, class: n.Class}, nil
 	}
-	if n.Left == idx || n.Right == idx {
-		return nil, fmt.Errorf("ml: node %d references itself", idx)
+	if n.Feature < 0 || n.Feature >= numFeatures {
+		return nil, fmt.Errorf("ml: node %d: feature %d outside [0, %d)", idx, n.Feature, numFeatures)
 	}
-	left, err := unflatten(nodes, n.Left)
+	left, err := unflatten(nodes, n.Left, seen, numClasses, numFeatures)
 	if err != nil {
 		return nil, err
 	}
-	right, err := unflatten(nodes, n.Right)
+	right, err := unflatten(nodes, n.Right, seen, numClasses, numFeatures)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +114,8 @@ func (f *RandomForest) WriteJSON(w io.Writer) error {
 
 // ReadForestJSON deserializes a forest written by WriteJSON. The result
 // predicts identically to the original; it cannot be re-fitted with the
-// original hyperparameters (they are not stored).
+// original hyperparameters (they are not stored). Malformed trees (see
+// unflatten) are rejected with an error before anything is compiled.
 func ReadForestJSON(r io.Reader) (*RandomForest, error) {
 	var fj forestJSON
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&fj); err != nil {
@@ -121,7 +132,7 @@ func ReadForestJSON(r io.Reader) (*RandomForest, error) {
 		if len(tj.Nodes) == 0 {
 			return nil, fmt.Errorf("ml: tree %d is empty", i)
 		}
-		root, err := unflatten(tj.Nodes, 0)
+		root, err := unflatten(tj.Nodes, 0, make([]bool, len(tj.Nodes)), fj.NumClasses, len(fj.Importance))
 		if err != nil {
 			return nil, fmt.Errorf("ml: tree %d: %w", i, err)
 		}

@@ -66,3 +66,60 @@ func TestReadForestRejects(t *testing.T) {
 		}
 	}
 }
+
+// readForestErr decodes one hand-written 3-class, 2-feature forest whose
+// single tree is nodes, and returns the loader's error.
+func readForestErr(t *testing.T, nodes string) error {
+	t.Helper()
+	_, err := ReadForestJSON(strings.NewReader(
+		`{"version":1,"num_classes":3,"importance":[0.5,0.5],"trees":[{"nodes":[` + nodes + `]}]}`))
+	return err
+}
+
+func TestReadForestAcceptsWellFormed(t *testing.T) {
+	if err := readForestErr(t, `{"feature":1,"threshold":0.5,"left":1,"right":2},
+		{"leaf":true,"class":0,"left":-1,"right":-1},
+		{"leaf":true,"class":2,"left":-1,"right":-1}`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadForestRejectsCycle: the 2-node cycle 0→1→0 used to recurse until
+// the stack overflowed; a subtree shared by both children of the root (which
+// no fitted tree contains) blows up exponentially the same way.
+func TestReadForestRejectsCycle(t *testing.T) {
+	for _, nodes := range []string{
+		`{"feature":0,"left":1,"right":1},{"feature":0,"left":0,"right":0}`,
+		`{"feature":0,"left":1,"right":1},{"leaf":true,"class":1,"left":-1,"right":-1}`,
+	} {
+		if err := readForestErr(t, nodes); err == nil || !strings.Contains(err.Error(), "reached twice") {
+			t.Fatalf("%s: got %v, want a reached-twice error", nodes, err)
+		}
+	}
+}
+
+// TestReadForestRejectsClassOutOfRange: a leaf predicting class 99 in a
+// 3-class forest used to load and predict 99.
+func TestReadForestRejectsClassOutOfRange(t *testing.T) {
+	for _, class := range []string{"99", "3", "-1"} {
+		err := readForestErr(t, `{"feature":0,"left":1,"right":2},
+			{"leaf":true,"class":`+class+`,"left":-1,"right":-1},
+			{"leaf":true,"class":0,"left":-1,"right":-1}`)
+		if err == nil || !strings.Contains(err.Error(), "class") {
+			t.Fatalf("class %s: got %v, want a class-range error", class, err)
+		}
+	}
+}
+
+// TestReadForestRejectsFeatureOutOfRange: a split on feature 7 of a
+// 2-feature forest used to load and index past the request vector.
+func TestReadForestRejectsFeatureOutOfRange(t *testing.T) {
+	for _, feature := range []string{"7", "2", "-1"} {
+		err := readForestErr(t, `{"feature":`+feature+`,"left":1,"right":2},
+			{"leaf":true,"class":0,"left":-1,"right":-1},
+			{"leaf":true,"class":1,"left":-1,"right":-1}`)
+		if err == nil || !strings.Contains(err.Error(), "feature") {
+			t.Fatalf("feature %s: got %v, want a feature-range error", feature, err)
+		}
+	}
+}

@@ -153,9 +153,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // 100 microseconds to ~5 seconds in roughly 3x steps.
 var DurationBuckets = []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 5}
 
-// RatioBuckets is the default bucket layout for values in [0, 1].
-var RatioBuckets = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
-
 // metricKind discriminates the registry's entries.
 type metricKind int
 
@@ -245,31 +242,6 @@ func (r *Registry) register(name, help string, kind metricKind) *entry {
 	}
 	r.entries[name] = e
 	return e
-}
-
-// Reset zeroes every registered metric's value (registrations survive).
-// Benchmarks and tests use it to measure deltas over a bounded workload.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		switch e.kind {
-		case kindCounter:
-			e.c.v.Store(0)
-		case kindGauge:
-			e.g.v.Store(0)
-			e.g.max.Store(0)
-		case kindFloatGauge:
-			e.f.v.Store(0)
-			e.f.max.Store(0)
-		case kindHistogram:
-			for i := range e.h.counts {
-				e.h.counts[i].Store(0)
-			}
-			e.h.count.Store(0)
-			e.h.sum.Store(0)
-		}
-	}
 }
 
 // NewCounter registers a counter in the Default registry.

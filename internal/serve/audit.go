@@ -49,9 +49,6 @@ func spanNs(a, b time.Time) uint32 {
 // field is read unsynchronized on the hot path.
 func (rt *Router) SetAudit(l *decisionlog.Log) { rt.audit = l }
 
-// Audit returns the attached decision log, or nil.
-func (rt *Router) Audit() *decisionlog.Log { return rt.audit }
-
 // SubmitTimed is Submit carrying the request's audit identity (reqID,
 // linkID) and transport arrival stamp; see Coalescer.SubmitTimed. The
 // returned Pending is what EmitDecision consumes after the transport has

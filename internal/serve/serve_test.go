@@ -203,6 +203,35 @@ func TestReadinessAndModelLifecycle(t *testing.T) {
 	}
 }
 
+// TestUploadCyclicModelRejected posts a forest whose single tree is the
+// 2-node cycle 0→1→0. The upload used to overflow the stack and kill the
+// server; it must now be a 4xx, and decides must keep being answered by the
+// active model.
+func TestUploadCyclicModelRejected(t *testing.T) {
+	reg := NewRegistry()
+	reg.Install("test", fitTestForest(t))
+	ts, _ := newTestServer(t, reg, Config{})
+
+	cycle := "libra-model v2 random-forest\n" +
+		`{"version":1,"num_classes":3,"importance":[1,1,1,1,1,1,1],"trees":[{"nodes":[` +
+		`{"feature":0,"left":1,"right":1},{"feature":0,"left":0,"right":0}]}]}`
+	resp, err := http.Post(ts.URL+"/models?source=cycle", "application/octet-stream", strings.NewReader(cycle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("cyclic model upload: status = %d, want 4xx", resp.StatusCode)
+	}
+	if reg.Active().ID != 1 {
+		t.Errorf("rejected upload disturbed the active model: %+v", reg.Active())
+	}
+	if code, body := postDecide(t, ts.URL, testRows(1)[0]); code != http.StatusOK || body["model_id"].(float64) != 1 {
+		t.Errorf("decide after rejected upload: status %d, body %v", code, body)
+	}
+}
+
 // TestOverloadHTTP: with the queue saturated behind a blocked model, excess
 // requests get 429 with Retry-After, and the shed counter advances.
 func TestOverloadHTTP(t *testing.T) {

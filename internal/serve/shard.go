@@ -44,7 +44,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // Router routes decisions to coalescer shards by link ID.
 type Router struct {
 	cfg    RouterConfig
-	reg    *Registry
 	ring   *hashRing
 	shards []*Coalescer
 
@@ -63,7 +62,6 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:      cfg,
-		reg:      reg,
 		ring:     newRing(cfg.Shards, cfg.VNodes),
 		shards:   make([]*Coalescer, cfg.Shards),
 		requests: make([]*obs.Counter, cfg.Shards),
@@ -77,17 +75,8 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	return rt
 }
 
-// NumShards returns the shard count.
-func (rt *Router) NumShards() int { return len(rt.shards) }
-
 // ShardFor returns the shard index owning linkID on the hash ring.
 func (rt *Router) ShardFor(linkID uint64) int { return rt.ring.shardFor(linkID) }
-
-// Shard returns shard i's coalescer (tests and diagnostics).
-func (rt *Router) Shard(i int) *Coalescer { return rt.shards[i] }
-
-// Registry returns the shared model registry.
-func (rt *Router) Registry() *Registry { return rt.reg }
 
 // Submit enqueues one decision on the shard owning linkID without blocking
 // for the result; see Coalescer.Submit. Requests submitted this way carry no

@@ -40,9 +40,6 @@ func New(sc *Scenario, workers int) *Engine {
 	return &Engine{sc: sc, workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (en *Engine) Workers() int { return en.workers }
-
 // stationState is one station's runtime: mutated only by its own handler
 // (parallel phase) or the serial effect phase.
 type stationState struct {

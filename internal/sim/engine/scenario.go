@@ -174,10 +174,6 @@ type Scenario struct {
 	initialAP []int
 }
 
-// Spec returns the resolved spec (defaults applied) the scenario was built
-// from.
-func (sc *Scenario) Spec() Spec { return sc.spec }
-
 // Build validates the spec, lays out the topology, ray-traces every
 // station-AP link and freezes the results. This is the expensive step —
 // O(Stations x APs) sweeps — and runs once; Engine.Run is cheap after it.

@@ -23,21 +23,15 @@ package libra
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math/rand"
 
-	"github.com/libra-wlan/libra/internal/adapt"
 	"github.com/libra-wlan/libra/internal/channel"
 	"github.com/libra-wlan/libra/internal/core"
 	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/env"
-	"github.com/libra-wlan/libra/internal/experiments"
 	"github.com/libra-wlan/libra/internal/geom"
 	"github.com/libra-wlan/libra/internal/mac"
 	"github.com/libra-wlan/libra/internal/phased"
-	"github.com/libra-wlan/libra/internal/phy"
-	"github.com/libra-wlan/libra/internal/predict"
 	"github.com/libra-wlan/libra/internal/sim"
 	"github.com/libra-wlan/libra/internal/sim/engine"
 	"github.com/libra-wlan/libra/internal/trace"
@@ -55,32 +49,15 @@ type (
 // V constructs a Vec.
 func V(x, y float64) Vec { return geom.V(x, y) }
 
-// Environment constructors (Appendix A.2).
-var (
-	Lobby          = env.Lobby
-	Lab            = env.Lab
-	ConferenceRoom = env.ConferenceRoom
-	NarrowCorridor = env.NarrowCorridor
-	MediumCorridor = env.MediumCorridor
-	WideCorridor   = env.WideCorridor
-	Building1      = env.Building1
-	Building2      = env.Building2
-)
+// MediumCorridor is the medium-width corridor of Appendix A.2.
+func MediumCorridor() *Environment { return env.MediumCorridor() }
 
 // Channel and PHY.
 type (
 	// Link is a simulated 60 GHz Tx-Rx pair.
 	Link = channel.Link
-	// Measurement is one PHY-layer observation (SNR, noise, ToF, PDP).
-	Measurement = channel.Measurement
-	// Blocker is a human blocker on the floor plan.
-	Blocker = channel.Blocker
-	// Interferer is a co-channel hidden terminal.
-	Interferer = channel.Interferer
 	// Array is a 25-beam phased antenna array.
 	Array = phased.Array
-	// MCS is a modulation and coding scheme index (0-8).
-	MCS = phy.MCS
 	// Station is a MAC-layer transmitter on a link.
 	Station = mac.Station
 )
@@ -97,38 +74,11 @@ func NewLink(e *Environment, tx, rx *Array) *Link { return channel.NewLink(e, tx
 // NewStation builds a MAC transmitter on a link.
 func NewStation(l *Link, rng *rand.Rand) *Station { return mac.NewStation(l, rng) }
 
-// Adaptation mechanisms.
-type (
-	// BeamAdapter trains beams (BA).
-	BeamAdapter = adapt.BeamAdapter
-	// RateAdapter searches rates (RA).
-	RateAdapter = adapt.RateAdapter
-	// ExhaustiveSLS is the O(N^2) ground-truth sweep.
-	ExhaustiveSLS = adapt.ExhaustiveSLS
-	// StandardSLS is the 802.11ad O(N) two-phase sweep.
-	StandardSLS = adapt.StandardSLS
-	// TxOnlySLS is the COTS Tx-only sweep with quasi-omni reception.
-	TxOnlySLS = adapt.TxOnlySLS
-	// ProbeDownRA is the paper's frame-based downward rate search.
-	ProbeDownRA = adapt.ProbeDownRA
-)
+// Campaign is a generated measurement campaign (dataset + positions).
+type Campaign = dataset.Campaign
 
-// Datasets and labels.
-type (
-	// Campaign is a generated measurement campaign (dataset + positions).
-	Campaign = dataset.Campaign
-	// Entry is one labeled dataset sample.
-	Entry = dataset.Entry
-	// Action is an adaptation decision: BA, RA, or NA.
-	Action = dataset.Action
-)
-
-// Adaptation actions.
-const (
-	ActBA = dataset.ActBA
-	ActRA = dataset.ActRA
-	ActNA = dataset.ActNA
-)
+// ActNA is the "no adaptation" label of a campaign entry.
+const ActNA = dataset.ActNA
 
 // GenerateMainDataset reproduces the main/training campaign (Table 1:
 // 668 labeled cases plus NA augmentation).
@@ -137,20 +87,6 @@ func GenerateMainDataset(seed int64) *Campaign { return dataset.GenerateMain(see
 // GenerateTestDataset reproduces the two-building testing campaign
 // (Table 2: 228 labeled cases plus NA augmentation).
 func GenerateTestDataset(seed int64) *Campaign { return dataset.GenerateTest(seed) }
-
-// GenerateMainDatasetContext is GenerateMainDataset with cooperative
-// cancellation at campaign-shard boundaries: a canceled ctx stops the
-// parallel spec fan-out and returns ctx's error. A completed campaign is
-// byte-identical to GenerateMainDataset's for the same seed.
-func GenerateMainDatasetContext(ctx context.Context, seed int64) (*Campaign, error) {
-	return dataset.GenerateMainContext(ctx, seed)
-}
-
-// GenerateTestDatasetContext is GenerateTestDataset with cooperative
-// cancellation at campaign-shard boundaries; see GenerateMainDatasetContext.
-func GenerateTestDatasetContext(ctx context.Context, seed int64) (*Campaign, error) {
-	return dataset.GenerateTestContext(ctx, seed)
-}
 
 // LiBRA core.
 type (
@@ -181,12 +117,6 @@ type (
 	Policy = sim.Policy
 	// Params is one evaluation grid cell (BA overhead, FAT, flow length).
 	Params = sim.Params
-	// Outcome is a single-break policy result.
-	Outcome = sim.Outcome
-	// TimelineResult is a multi-impairment run result.
-	TimelineResult = sim.TimelineResult
-	// Timeline is a multi-segment channel scenario.
-	Timeline = trace.Timeline
 	// ScenarioPools pre-generates timeline channel states.
 	ScenarioPools = trace.Pools
 	// Scenario is the input of Run: exactly one of an entry (single
@@ -198,16 +128,6 @@ type (
 	// RunResult is the output of Run: Outcome for entry scenarios,
 	// Timeline for timeline scenarios.
 	RunResult = sim.Result
-	// Variant selects a protocol-design ablation (standard Tx-initiated,
-	// failover-beam, or Rx-initiated).
-	Variant = sim.Variant
-)
-
-// Protocol-design variants for RunOptions.Variant.
-const (
-	VariantStandard    = sim.VariantStandard
-	VariantFailover    = sim.VariantFailover
-	VariantRxInitiated = sim.VariantRxInitiated
 )
 
 // Run executes one scenario under one set of options: a single link break
@@ -221,11 +141,9 @@ func Run(ctx context.Context, sc Scenario, opt RunOptions) (RunResult, error) {
 
 // Evaluation policies.
 const (
-	PolicyLiBRA       = sim.LiBRA
-	PolicyBAFirst     = sim.BAFirst
-	PolicyRAFirst     = sim.RAFirst
-	PolicyOracleData  = sim.OracleData
-	PolicyOracleDelay = sim.OracleDelay
+	PolicyLiBRA      = sim.LiBRA
+	PolicyBAFirst    = sim.BAFirst
+	PolicyOracleData = sim.OracleData
 )
 
 // NewScenarioPools builds the §8.3 timeline state pools.
@@ -245,50 +163,6 @@ var VikingVillage = vr.VikingVillage
 // PlayVR streams a frame trace over a delivered-rate profile.
 var PlayVR = vr.Play
 
-// Experiments.
-type (
-	// Suite shares generated campaigns and trained models across
-	// experiment runs.
-	Suite = experiments.Suite
-)
-
-// NewSuite creates an experiment suite with the given seed.
-func NewSuite(seed int64) *Suite { return experiments.NewSuite(seed) }
-
-// Model persistence: the §7 deployment story is offline training by the
-// vendor, then shipping the fitted model. The on-disk format is versioned
-// and serialization-stable — a one-line "libra-model v2 random-forest"
-// header followed by the model body; saving a loaded model reproduces the
-// input bytes, and the legacy headerless v1 format still loads. libra-train
-// -o writes this format and libra-serve -model consumes it.
-
-// SaveClassifier writes a trained classifier (random forest) to w in the
-// versioned libra-model format.
-func SaveClassifier(c Classifier, w io.Writer) error {
-	mc, ok := c.(*core.MLClassifier)
-	if !ok {
-		return fmt.Errorf("libra: only trained ML classifiers serialize (got %s)", c.Name())
-	}
-	return core.SaveClassifier(mc, w)
-}
-
-// LoadClassifier reads a classifier written by SaveClassifier (either the
-// current headered format or the legacy bare-JSON v1 format).
-func LoadClassifier(r io.Reader) (Classifier, error) {
-	return core.LoadClassifier(r)
-}
-
-// Extensions beyond the paper's evaluation.
-type (
-	// MarkovPredictor learns per-break action patterns (§7 future work).
-	MarkovPredictor = predict.MarkovPredictor
-	// AMPDUResult is an 802.11-style aggregated-frame outcome with SFER.
-	AMPDUResult = mac.AMPDUResult
-)
-
-// NewMarkovPredictor creates an order-k link-pattern predictor.
-func NewMarkovPredictor(order int) *MarkovPredictor { return predict.NewMarkovPredictor(order) }
-
 // Multi-AP discrete-event engine.
 type (
 	// EngineSpec declares a multi-AP scenario: deployment size, topology,
@@ -300,11 +174,6 @@ type (
 	// Engine runs an EngineScenario deterministically: event traces and
 	// the scenario digest are byte-identical for any worker count.
 	Engine = engine.Engine
-	// EngineResult is a completed engine run (per-station results,
-	// aggregate counters, the scenario digest).
-	EngineResult = engine.Result
-	// StationResult is one station's engine-run summary.
-	StationResult = engine.StationResult
 )
 
 // BuildScenario validates and precomputes a multi-AP scenario — the
