@@ -65,8 +65,6 @@ func main() {
 	warm := flag.Int("warmup", 5000, "untimed warmup requests")
 	seed := flag.Int64("seed", 42, "campaign + shuffle seed")
 	model := flag.String("model", "", "libra-model artifact to serve (shard mode, required)")
-	maxBatch := flag.Int("max-batch", 64, "coalescer batch bound (shard mode)")
-	maxLinger := flag.Duration("max-linger", 200*time.Microsecond, "coalescer linger (shard mode)")
 	feedback := flag.Bool("feedback", false, "report campaign ground truth for every request (binary feedback frames in http mode, in-process joins in shard mode)")
 	auditOut := flag.String("audit-out", "", "shard mode: write the fleet's per-decision LDL1 audit log to this file")
 	auditSample := flag.Uint64("audit-sample", 1, "shard mode: deterministic 1-in-N audit sampling divisor")
@@ -94,7 +92,7 @@ func main() {
 			log.Fatalf("unknown -proto %q (want json or binary)", *proto)
 		}
 	case "shard":
-		runShard(replay, *conc, *n, *warm, *model, *maxBatch, *maxLinger, *shards, *pipeline,
+		runShard(replay, *conc, *n, *warm, *model, *shards, *pipeline,
 			*feedback, *auditOut, *auditSample)
 	default:
 		log.Fatalf("unknown -mode %q (want http or shard)", *mode)
@@ -356,8 +354,7 @@ func driveBinary(label, addr string, replay *serve.Replay, rows32 [][]float32,
 // the serving representation: the quantized forest must classify the
 // campaign replay bit-identically to the float64 flat arrays on the
 // float32-narrowed features the wire carries.
-func runShard(replay *serve.Replay, conc, n, warm int, model string,
-	maxBatch int, maxLinger time.Duration, shards, pipeline int,
+func runShard(replay *serve.Replay, conc, n, warm int, model string, shards, pipeline int,
 	feedback bool, auditOut string, auditSample uint64) {
 
 	f, err := os.Open(model)
@@ -409,7 +406,7 @@ func runShard(replay *serve.Replay, conc, n, warm int, model string,
 	reg.Install("loadgen-quant", quant)
 	rt := serve.NewRouter(reg, serve.RouterConfig{
 		Shards:    shards,
-		Coalescer: serve.CoalescerConfig{MaxBatch: maxBatch, MaxLinger: maxLinger, QueueDepth: 4 * conc * pipeline},
+		Coalescer: serve.CoalescerConfig{MaxBatch: 64, MaxLinger: 200 * time.Microsecond, QueueDepth: 4 * conc * pipeline},
 	})
 	defer rt.Close()
 

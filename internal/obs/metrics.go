@@ -244,6 +244,31 @@ func (r *Registry) register(name, help string, kind metricKind) *entry {
 	return e
 }
 
+// Reset zeroes every registered metric's value (registrations survive).
+// Benchmarks and tests use it to measure deltas over a bounded workload.
+func (r *Registry) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		switch e.kind {
+		case kindCounter:
+			e.c.v.Store(0)
+		case kindGauge:
+			e.g.v.Store(0)
+			e.g.max.Store(0)
+		case kindFloatGauge:
+			e.f.v.Store(0)
+			e.f.max.Store(0)
+		case kindHistogram:
+			for i := range e.h.counts {
+				e.h.counts[i].Store(0)
+			}
+			e.h.count.Store(0)
+			e.h.sum.Store(0)
+		}
+	}
+}
+
 // NewCounter registers a counter in the Default registry.
 func NewCounter(name, help string) *Counter { return Default.Counter(name, help) }
 

@@ -49,6 +49,11 @@ func TestCounterGaugeHistogram(t *testing.T) {
 			t.Errorf("bucket %d cumulative count = %d, want %d", i, b.Count, wantCum[i])
 		}
 	}
+
+	r.Reset()
+	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Error("Reset must zero all metric values")
+	}
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines; run

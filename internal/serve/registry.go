@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/libra-wlan/libra/internal/core"
+	"github.com/libra-wlan/libra/internal/dataset"
 	"github.com/libra-wlan/libra/internal/ml"
 )
 
@@ -100,6 +101,13 @@ func (r *Registry) Load(source string, rd io.Reader) (*Model, error) {
 	pred, ok := clf.Model.(Predictor)
 	if !ok {
 		return nil, fmt.Errorf("serve: model family %s lacks the batch prediction paths", clf.Name())
+	}
+	// Every decide carries exactly dataset.NumFeatures features; a forest
+	// built for another width would split past the end of the row.
+	if rf, ok := clf.Model.(*ml.RandomForest); ok {
+		if w := len(rf.GiniImportance()); w != dataset.NumFeatures {
+			return nil, fmt.Errorf("serve: model reads %d features, decides carry %d", w, dataset.NumFeatures)
+		}
 	}
 	if r.Format() == FormatQuant32 {
 		rf, ok := clf.Model.(*ml.RandomForest)

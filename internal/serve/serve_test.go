@@ -208,21 +208,36 @@ func TestReadinessAndModelLifecycle(t *testing.T) {
 // server; it must now be a 4xx, and decides must keep being answered by the
 // active model.
 func TestUploadCyclicModelRejected(t *testing.T) {
+	uploadRejected(t, "cycle", "libra-model v2 random-forest\n"+
+		`{"version":1,"num_classes":3,"importance":[1,1,1,1,1,1,1],"trees":[{"nodes":[`+
+		`{"feature":0,"left":1,"right":1},{"feature":0,"left":0,"right":0}]}]}`)
+}
+
+// TestUploadWideModelRejected: a forest whose importance array (and so its
+// split range) is wider than the NumFeatures a decide carries is refused
+// with a 4xx, not installed to index past the end of every request row.
+func TestUploadWideModelRejected(t *testing.T) {
+	uploadRejected(t, "wide", "libra-model v2 random-forest\n"+
+		`{"version":1,"num_classes":3,"importance":[`+strings.Repeat("1,", 19)+`1],"trees":[{"nodes":[`+
+		`{"feature":15,"threshold":0.5,"left":1,"right":2},{"leaf":true,"class":0},{"leaf":true,"class":1}]}]}`)
+}
+
+// uploadRejected POSTs body to /models and demands a 4xx, with the active
+// model untouched and still answering decides.
+func uploadRejected(t *testing.T, source, body string) {
+	t.Helper()
 	reg := NewRegistry()
 	reg.Install("test", fitTestForest(t))
 	ts, _ := newTestServer(t, reg, Config{})
 
-	cycle := "libra-model v2 random-forest\n" +
-		`{"version":1,"num_classes":3,"importance":[1,1,1,1,1,1,1],"trees":[{"nodes":[` +
-		`{"feature":0,"left":1,"right":1},{"feature":0,"left":0,"right":0}]}]}`
-	resp, err := http.Post(ts.URL+"/models?source=cycle", "application/octet-stream", strings.NewReader(cycle))
+	resp, err := http.Post(ts.URL+"/models?source="+source, "application/octet-stream", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-		t.Fatalf("cyclic model upload: status = %d, want 4xx", resp.StatusCode)
+		t.Fatalf("%s model upload: status = %d, want 4xx", source, resp.StatusCode)
 	}
 	if reg.Active().ID != 1 {
 		t.Errorf("rejected upload disturbed the active model: %+v", reg.Active())
